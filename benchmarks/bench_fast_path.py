@@ -29,7 +29,7 @@ import pytest
 
 from repro.harness import AblationStudy, DEFAULT_CALIBRATION
 from repro.harness.ablation import BASELINE_KEY
-from repro.harness.grids import FAST_PATH_GRID
+from repro.harness.grids import FAST_PATH_GRID, idle, percentile
 from repro.resolution import FastPathPolicy
 from repro.workloads import build_testbed
 
@@ -45,26 +45,6 @@ CONFIGS = (
     ("no batching", FastPathPolicy(batch_meta_lookups=False)),
     ("disabled", FastPathPolicy.disabled()),
 )
-
-
-def percentile(samples, p):
-    """Linear-interpolated percentile of a non-empty sample list."""
-    if not samples:
-        return float("nan")
-    ordered = sorted(samples)
-    k = (len(ordered) - 1) * (p / 100.0)
-    lo = int(k)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
-
-
-def idle(env, ms):
-    """Advance simulated time by ``ms`` with nothing else scheduled."""
-
-    def sleeper():
-        yield env.timeout(ms)
-
-    run(env, sleeper())
 
 
 def server_requests(env):

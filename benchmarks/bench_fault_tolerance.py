@@ -26,6 +26,7 @@ from repro.core.hns import HNS
 from repro.core.metastore import MetaStore
 from repro.core.nsms import BindHostAddressNSM
 from repro.harness import DEFAULT_CALIBRATION
+from repro.harness.grids import idle, percentile
 from repro.net import DatagramTransport, TransportTimeout
 from repro.resolution import (
     DEFAULT_RESOLUTION_POLICY,
@@ -38,24 +39,9 @@ from repro.workloads.scenarios import BIND_NS
 from conftest import FIJI, run, write_bench_results
 
 
-def percentile(samples, p):
-    """Linear-interpolated percentile of a non-empty sample list."""
-    if not samples:
-        return float("nan")
-    ordered = sorted(samples)
-    k = (len(ordered) - 1) * (p / 100.0)
-    lo = int(k)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
-
-
-def idle(env, ms):
-    """Advance simulated time by ``ms`` with nothing in flight."""
-
-    def sleeper():
-        yield env.timeout(ms)
-
-    run(env, sleeper())
+def _ms(value):
+    """A latency cell for the printed tables (``None``: no samples)."""
+    return "     --" if value is None else f"{value:7.1f}"
 
 
 def raw_wire_hns(testbed, policy):
@@ -150,7 +136,7 @@ def test_drop_probability_sweep(benchmark):
             avail, p50, p99, retries = table[(label, drop)]
             print(
                 f"  {label:<15} drop={drop:4.2f}: availability {avail:6.1%}, "
-                f"p50 {p50:7.1f} ms, p99 {p99:7.1f} ms, retries {retries}"
+                f"p50 {_ms(p50)} ms, p99 {_ms(p99)} ms, retries {retries}"
             )
     # Acceptance: >=99% success at 10% drop with the default policy...
     assert table[("default policy", 0.10)][0] >= 0.99

@@ -28,7 +28,7 @@ from repro.harness import AblationStudy, DEFAULT_CALIBRATION
 from repro.harness.ablation import BASELINE_KEY
 from repro.harness.grids import REPLICA_GRID
 from repro.net import DatagramTransport, Internetwork
-from repro.resolution import ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
 
 from conftest import run, write_bench_results
@@ -157,7 +157,7 @@ def test_refresh_cost_vs_churn(benchmark):
             secondary.transport,
             secondary.primary,
             cache=cache,
-            replica_policy=ReplicaPolicy(),
+            policies=PolicySet(replica=ReplicaPolicy()),
             name="preloader",
         )
         start = env.now

@@ -4,10 +4,11 @@ Static rules (:mod:`repro.analysis.rules_sim`) catch wall-clock and
 ambient-randomness *patterns*; this module checks the property itself.
 Every scenario registered in :mod:`repro.workloads.scenarios` is run
 twice with the same seed — plus a third time with span tracing
-(:mod:`repro.obs`) forced on, and a fourth time on the *alternate*
-event-queue back end (heap vs timer wheel,
-:data:`repro.sim.kernel.DEFAULT_KERNEL_IMPL`), neither of which may
-move the trajectory — and each run is reduced to a digest over
+(:mod:`repro.obs`) forced on, and a fourth time with a passive
+:class:`~repro.sim.kernel.KernelMonitor` attached (so every event goes
+through ``Environment.step()`` instead of the kernel's unmonitored
+loop), neither of which may move the trajectory — and each run is
+reduced to a digest over
 
 - the canonical trace serialization (every traced occurrence, in order,
   with sorted data keys),
@@ -26,9 +27,9 @@ import dataclasses
 import hashlib
 import typing
 
+from repro.analysis.perturb import monitored
 from repro.obs.span import Observability
-from repro.sim import kernel as _kernel
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, KernelMonitor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,11 +38,11 @@ class ScenarioCheck:
 
     ``digest_obs`` comes from a third run with span tracing forced on
     (:attr:`~repro.obs.span.Observability.default_enabled`): tracing a
-    run must not change its trajectory.  ``digest_alt`` comes from a
-    fourth run on the alternate event-queue back end (heap when the
-    default is the wheel, and vice versa): back ends share one
-    ``(time, eid)`` ordering contract, so swapping them must be
-    digest-invisible too.  All four digests must match.
+    run must not change its trajectory.  ``digest_monitored`` comes
+    from a fourth run with a passive :class:`KernelMonitor` attached:
+    the monitored ``step()`` loop and the unmonitored hot loop pop the
+    same heap, so switching between them must be digest-invisible too.
+    All four digests must match.
     """
 
     scenario: str
@@ -53,7 +54,7 @@ class ScenarioCheck:
     events_b: int
     first_divergence: str = ""
     digest_obs: str = ""
-    digest_alt: str = ""
+    digest_monitored: str = ""
 
     def to_json(self) -> typing.Dict[str, object]:
         return {
@@ -63,7 +64,7 @@ class ScenarioCheck:
             "digest_a": self.digest_a,
             "digest_b": self.digest_b,
             "digest_obs": self.digest_obs,
-            "digest_alt": self.digest_alt,
+            "digest_monitored": self.digest_monitored,
             "trace_records_a": self.events_a,
             "trace_records_b": self.events_b,
             "first_divergence": self.first_divergence,
@@ -102,10 +103,11 @@ def check_scenario(
     Runs A and B are plain replays; run C executes with span tracing
     forced on (:class:`~repro.obs.span.Observability` constructs
     enabled), proving that observability never perturbs a run; run D
-    executes on the alternate event-queue back end
-    (:data:`~repro.sim.kernel.DEFAULT_KERNEL_IMPL` flipped the same
-    way run C flips ``Observability.default_enabled``), proving the
-    wheel and the heap process events in the identical order.
+    executes with a no-op :class:`KernelMonitor` attached to every
+    environment the builder constructs (via
+    :func:`~repro.analysis.perturb.monitored`), proving the monitored
+    ``step()`` loop and the unmonitored hot loop run events in the
+    identical order.
     """
     env_a = builder(seed)
     lines_a = run_lines(env_a)
@@ -118,14 +120,9 @@ def check_scenario(
         lines_c = run_lines(env_c)
     finally:
         Observability.default_enabled = saved
-    saved_impl = _kernel.DEFAULT_KERNEL_IMPL
-    alt_impl = "heap" if saved_impl == "wheel" else "wheel"
-    _kernel.DEFAULT_KERNEL_IMPL = alt_impl
-    try:
+    with monitored(lambda _env: KernelMonitor()):
         env_d = builder(seed)
-        lines_d = run_lines(env_d)
-    finally:
-        _kernel.DEFAULT_KERNEL_IMPL = saved_impl
+    lines_d = run_lines(env_d)
     digest_a = _digest(lines_a)
     digest_b = _digest(lines_b)
     digest_c = _digest(lines_c)
@@ -136,10 +133,7 @@ def check_scenario(
     elif digest_a != digest_c:
         divergence = "traced run: " + _first_divergence(lines_a, lines_c)
     elif digest_a != digest_d:
-        divergence = (
-            f"alternate back end ({alt_impl} vs {saved_impl}): "
-            + _first_divergence(lines_a, lines_d)
-        )
+        divergence = "monitored run: " + _first_divergence(lines_a, lines_d)
     return ScenarioCheck(
         scenario=name,
         seed=seed,
@@ -150,7 +144,7 @@ def check_scenario(
         events_b=len(env_b.trace.records),
         first_divergence=divergence,
         digest_obs=digest_c,
-        digest_alt=digest_d,
+        digest_monitored=digest_d,
     )
 
 

@@ -5,16 +5,15 @@ schedule time, so same-timestamp events run in FIFO order.  Most code
 never depends on that tie-break — but code that *does* is exactly the
 code one latency-constant tweak away from a trajectory change.  The
 racer flips :data:`repro.sim.kernel.DEFAULT_PERTURB_SEED` so every
-``Environment`` built inside the context draws a
-:class:`~repro.sim.wheel.PerturbedHeapQueue`, which permutes the order
-of same-timestamp cohorts deterministically per seed.  Event *times*
-are untouched: a perturbed run is a legal schedule the kernel could
-have produced under a different arrival order, not a different
-workload.
+``Environment`` built inside the context keys its event heap by
+``_mix64(eid ^ salt)`` instead of ``eid``, which permutes the order of
+same-timestamp cohorts deterministically per seed.  Event *times* are
+untouched: a perturbed run is a legal schedule the kernel could have
+produced under a different arrival order, not a different workload.
 
-The helpers here mirror how the determinism checker flips
-:data:`repro.sim.kernel.DEFAULT_KERNEL_IMPL` — module-global defaults
-swapped around a builder call and restored in a ``finally``.
+The helpers here swap module-global kernel defaults around a builder
+call and restore them in a ``finally``, the way the determinism checker
+forces span tracing on for its traced run.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ import contextlib
 import typing
 
 from repro.sim import kernel as _kernel
-from repro.sim.wheel import _mix64
+from repro.sim.rng import _mix64
 
-#: splitmix64 increment — the same constant the queue salt uses, so the
+#: splitmix64 increment — the same constant the kernel salt uses, so the
 #: derived-seed stream is a textbook splitmix64 sequence.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -318,8 +318,8 @@ STAT_PREFIXES = frozenset(
         "nsm",
         "portmapper",
         "rexec",
-        # "sim" hosts the kernel's own families: sim.kernel.* (queue
-        # back-end counters published via publish_kernel_stats()) and
+        # "sim" hosts the kernel's own families: sim.kernel.* (event
+        # counts published via publish_kernel_stats()) and
         # sim.mclient.* (the million-client scenario)
         "sim",
         "yp",

@@ -177,13 +177,6 @@ class ReplicaScheduler:
         )
 
     # ------------------------------------------------------------------
-    def state_for(self, endpoint: Endpoint) -> ReplicaState:
-        """The state tracking ``endpoint`` (for tests/observability)."""
-        for state in self.states:
-            if state.endpoint == endpoint:
-                return state
-        raise KeyError(endpoint)
-
     def snapshot(self) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """label -> {ewma_ms, inflight, breaker} for observability."""
         return {

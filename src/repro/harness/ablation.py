@@ -9,8 +9,8 @@ AE-Scientist's ``stage4_ablation`` and the aumai-ablation API:
 
 - a **knob registry** (:class:`Knob`): named axes with a baseline
   variant and ablation variants — the frozen
-  :class:`~repro.resolution.PolicySet` axes, ``kernel_impl``, and
-  scenario parameters (TTLs, churn, stall probability) all fit;
+  :class:`~repro.resolution.PolicySet` axes and scenario parameters
+  (TTLs, churn, stall probability) all fit;
 - **grid expansion** (:meth:`AblationStudy.expand`): one baseline run,
   one run per non-baseline variant of each knob (the one-offs), any
   named extra combinations, and optionally the full cartesian grid;
@@ -75,7 +75,7 @@ class Knob:
 
     Variants are plain strings; the grid's runner maps them to concrete
     objects (a :class:`~repro.resolution.FastPathPolicy`, a TTL, a
-    ``kernel_impl`` name).  Keeping the registry stringly keeps every
+    churn rate).  Keeping the registry stringly keeps every
     spec picklable and every artifact JSON-stable.
     """
 
@@ -152,9 +152,12 @@ class RunSpec:
 
 @dataclasses.dataclass
 class RunOutput:
-    """What a grid runner returns: metrics plus determinism evidence."""
+    """What a grid runner returns: metrics plus determinism evidence.
 
-    metrics: typing.Dict[str, float]
+    A metric is ``None`` when it has no samples (an empty percentile).
+    """
+
+    metrics: typing.Mapping[str, typing.Optional[float]]
     digest: typing.Optional[str] = None
     sim_ms: float = 0.0
 
@@ -170,7 +173,7 @@ class RunResult:
 
     spec: RunSpec
     status: str
-    metrics: typing.Dict[str, float]
+    metrics: typing.Dict[str, typing.Optional[float]]
     digest: typing.Optional[str]
     sim_ms: float
     wall_s: float
@@ -372,9 +375,10 @@ class AblationStudy:
                 continue
             per_metric: typing.Dict[str, typing.Dict[str, float]] = {}
             for metric, value in sorted(result.metrics.items()):
-                if metric not in base.metrics:
+                base_value = base.metrics.get(metric)
+                if value is None or base_value is None:
                     continue
-                baseline_value = float(base.metrics[metric])
+                baseline_value = float(base_value)
                 delta = float(value) - baseline_value
                 entry = {
                     "baseline": baseline_value,
@@ -452,7 +456,9 @@ def strip_wall_clock(value: object) -> object:
 
 def dump_payload(payload: typing.Mapping[str, object]) -> str:
     """Canonical JSON serialization for BENCH artifacts."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return (
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
 
 
 def write_payload(path: str, payload: typing.Mapping[str, object]) -> None:

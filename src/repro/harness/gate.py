@@ -47,9 +47,18 @@ class Violation:
         return f"{self.artifact}: [{self.kind}] {self.path}: {self.message}"
 
 
+def _reject_constant(name: str) -> typing.NoReturn:
+    raise ValueError(f"non-finite number {name} is not strict JSON")
+
+
 def load_artifact(path: pathlib.Path) -> typing.Dict[str, object]:
-    """Read one BENCH JSON file; raises ValueError on schema mismatch."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+    """Read one BENCH JSON file; raises ValueError on schema mismatch
+    or on ``NaN``/``Infinity``, which strict JSON does not allow."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        data = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: artifact is not a JSON object")
     version = data.get("schema_version")

@@ -44,10 +44,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
 
-def percentile(samples: typing.Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile of a sample list (NaN if empty)."""
+def percentile(
+    samples: typing.Sequence[float], p: float
+) -> typing.Optional[float]:
+    """Linear-interpolated percentile of a sample list.
+
+    ``None`` when there are no samples, so an artifact records ``null``
+    (strict JSON) rather than a made-up number or ``NaN``.
+    """
     if not samples:
-        return float("nan")
+        return None
     ordered = sorted(samples)
     k = (len(ordered) - 1) * (p / 100.0)
     lo = int(k)
@@ -59,7 +65,7 @@ def _run(env: Environment, gen: "ProcessGenerator") -> object:
     return env.run(until=env.process(gen))
 
 
-def _idle(env: Environment, ms: float) -> None:
+def idle(env: Environment, ms: float) -> None:
     """Advance simulated time by ``ms`` alongside whatever is scheduled."""
 
     def sleeper() -> "ProcessGenerator":
@@ -199,7 +205,7 @@ def run_fast_path(
 
     for _ in range(clients):
         env.process(client_loop())
-    _idle(env, duration_ms + 30_000.0)
+    idle(env, duration_ms + 30_000.0)
     queries = env.stats.counter("bind.meta-bind.queries").value - start_queries
     attempts = len(latencies) + failures[0]
     env.stats.counter("harness.fast_path.finds").increment(len(latencies))
@@ -312,7 +318,7 @@ def run_replica_scheduling(
             yield env.timeout(5.0)
 
     _run(env, client_loop())
-    _idle(env, 2_000.0)  # drain hedge-loser legs
+    idle(env, 2_000.0)  # drain hedge-loser legs
     counters = env.stats.counters()
     metrics = {
         "lookups": float(len(latencies)),

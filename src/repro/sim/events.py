@@ -17,6 +17,9 @@ as usual.
 from __future__ import annotations
 
 import typing
+from heapq import heappush
+
+from repro.sim.rng import _mix64
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Environment
@@ -159,7 +162,9 @@ class Timeout(Event):
         self._value = value
         eid = env._eid
         env._eid = eid + 1
-        env._queue.push(env._now + delay, eid, self)
+        if env._salt is not None:
+            eid = _mix64(eid ^ env._salt)
+        heappush(env._queue, (env._now + delay, eid, self))
 
     def succeed(self, value: object = None) -> "Event":  # pragma: no cover
         raise RuntimeError("Timeout triggers itself; do not call succeed()")

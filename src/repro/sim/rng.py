@@ -14,6 +14,22 @@ import random
 import typing
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mix64(value: int) -> int:
+    """The splitmix64 finalizer: a bijective 64-bit avalanche mix.
+
+    The kernel's perturbed tie-break key is ``_mix64(eid ^ salt)``;
+    bijectivity keeps distinct eids on distinct keys, so the permuted
+    order is still total and no queue entry ever compares its event.
+    """
+    value &= _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
 class RngRegistry:
     """Hands out independent :class:`random.Random` streams by name."""
 

@@ -72,7 +72,7 @@ def drive_churn(
     churn_interval_ms: float = 6_000.0,
     down_ms: float = 4_000.0,
     query_interval_ms: float = 400.0,
-) -> typing.Dict[str, float]:
+) -> typing.Dict[str, typing.Optional[float]]:
     """Hosts vanish silently and return; a client keeps resolving.
 
     Hosts 1..``owners`` each announce one name; a churn process crashes

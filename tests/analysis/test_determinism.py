@@ -109,3 +109,20 @@ def test_clean_rerun_after_the_leak_passes_again():
         "fast_path_coalescing", SCENARIOS["fast_path_coalescing"], seed=0
     )
     assert check.ok
+
+
+def test_run_d_takes_the_monitored_step_loop():
+    """Runs A-C use the kernel's unmonitored loop; run D attaches a
+    passive monitor, so its events go through ``Environment.step()``."""
+    builder = SCENARIOS["fast_path_coalescing"]
+    monitors = []
+
+    def spying_builder(seed):
+        env = builder(seed)
+        monitors.append(env.monitor)
+        return env
+
+    check = check_scenario("fast_path_coalescing", spying_builder, seed=0)
+    assert check.ok
+    assert check.digest_monitored == check.digest_a
+    assert [m is None for m in monitors] == [True, True, True, False]

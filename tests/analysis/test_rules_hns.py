@@ -187,14 +187,14 @@ def test_hns003_clean_literal_and_fstring_names():
 
 
 def test_hns003_accepts_the_sim_kernel_families():
-    # The kernel publishes its queue back-end counters under
-    # sim.kernel.* (publish_kernel_stats), and the million-client
-    # scenario records under sim.mclient.*.
+    # The kernel publishes its event counts under sim.kernel.*
+    # (publish_kernel_stats), and the million-client scenario records
+    # under sim.mclient.*.
     findings = _lint(
         """
         def publish(self):
-            self.env.stats.counter("sim.kernel.wheel_rotations").increment()
-            self.env.stats.counter("sim.kernel.fastpath_schedules").increment()
+            self.env.stats.counter("sim.kernel.events_scheduled").increment()
+            self.env.stats.counter("sim.kernel.events_processed").increment()
             self.env.stats.counter("sim.mclient.cache_hits").increment()
             self.env.stats.timer("sim.mclient.latency", streaming=True)
         """,

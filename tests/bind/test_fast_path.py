@@ -19,7 +19,7 @@ from repro.bind.messages import (
 )
 from repro.bind.names import DomainName
 from repro.bind import ResolverCache
-from repro.resolution import FastPathPolicy
+from repro.resolution import FastPathPolicy, PolicySet
 
 
 def make_resolver(env, client, transport, endpoint, **kwargs):
@@ -69,7 +69,7 @@ def test_thundering_herd_coalesces_to_one_query(deployment):
         (FastPathPolicy.disabled(), K),
     ):
         resolver = make_resolver(
-            env, client, transport, endpoint, fast_path=fast_path
+            env, client, transport, endpoint, policies=PolicySet(fast_path=fast_path)
         )
         before = env.stats.counter(f"bind.{server.name}.queries").value
         results = []
@@ -98,7 +98,7 @@ def test_leader_failure_propagates_to_followers(deployment):
     every parked follower — nobody hangs, nobody retries separately."""
     env, net, transport, client, server, endpoint = deployment
     resolver = BindResolver(
-        client, transport, endpoint, fast_path=FastPathPolicy()
+        client, transport, endpoint, policies=PolicySet(fast_path=FastPathPolicy())
     )
     K = 5
     outcomes = []
@@ -139,7 +139,7 @@ def test_refresh_ahead_renews_hot_entry(short_ttl_deployment):
         client,
         transport,
         endpoint,
-        fast_path=FastPathPolicy(refresh_ahead_fraction=0.3),
+        policies=PolicySet(fast_path=FastPathPolicy(refresh_ahead_fraction=0.3)),
     )
     run(env, resolver.lookup("short.cs.washington.edu"))  # cold fill
     idle(env, 800)  # inside the last 30% of the 1 s TTL
@@ -163,7 +163,7 @@ def test_refresh_failure_is_silent(short_ttl_deployment):
         client,
         transport,
         endpoint,
-        fast_path=FastPathPolicy(refresh_ahead_fraction=0.3),
+        policies=PolicySet(fast_path=FastPathPolicy(refresh_ahead_fraction=0.3)),
     )
     run(env, resolver.lookup("short.cs.washington.edu"))
     server.host.crash()
@@ -185,7 +185,11 @@ def test_refresh_failure_is_silent(short_ttl_deployment):
 def test_disabled_policy_never_refreshes(short_ttl_deployment):
     env, net, transport, client, server, endpoint = short_ttl_deployment
     resolver = make_resolver(
-        env, client, transport, endpoint, fast_path=FastPathPolicy.disabled()
+        env,
+        client,
+        transport,
+        endpoint,
+        policies=PolicySet(fast_path=FastPathPolicy.disabled()),
     )
     run(env, resolver.lookup("short.cs.washington.edu"))
     idle(env, 900)
@@ -223,7 +227,7 @@ def meta_style_deployment(deployment):
 def test_batch_chained_lookup_one_round_trip(meta_style_deployment):
     env, net, transport, client, server, endpoint = meta_style_deployment
     resolver = make_resolver(
-        env, client, transport, endpoint, fast_path=FastPathPolicy()
+        env, client, transport, endpoint, policies=PolicySet(fast_path=FastPathPolicy())
     )
     questions = [
         BatchQuestion("cs.ctx.hns", RRType.UNSPEC),
@@ -285,7 +289,7 @@ def test_batch_bad_chain_field_yields_servfail_slot(meta_style_deployment):
 def test_batch_coalesces_identical_batches(meta_style_deployment):
     env, net, transport, client, server, endpoint = meta_style_deployment
     resolver = make_resolver(
-        env, client, transport, endpoint, fast_path=FastPathPolicy()
+        env, client, transport, endpoint, policies=PolicySet(fast_path=FastPathPolicy())
     )
     questions = [BatchQuestion("cs.ctx.hns", RRType.UNSPEC)]
     done = []

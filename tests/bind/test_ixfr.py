@@ -16,7 +16,7 @@ from repro.bind import (
 from repro.bind.messages import delta_from_idl, delta_to_idl
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
-from repro.resolution import ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -289,7 +289,7 @@ def test_preload_cache_incremental(wired):
         udp,
         endpoint,
         cache=cache,
-        replica_policy=ReplicaPolicy(),
+        policies=PolicySet(replica=ReplicaPolicy()),
     )
     start = env.now
     loaded = run(env, preloader.preload_cache("hns"))

@@ -6,7 +6,7 @@ from repro.bind import BindResolver, BindServer, ReplicaScheduler, ResourceRecor
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.net.addresses import Endpoint, NetworkAddress
-from repro.resolution import ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -219,7 +219,7 @@ def make_cluster(replica_policy, seed=41, primary_cost=4.8, secondary_cost=4.8):
         udp,
         primary_ep,
         secondaries=[secondary_ep],
-        replica_policy=replica_policy,
+        policies=PolicySet(replica=replica_policy),
         name="r",
     )
     return env, resolver, primary, secondary, primary_host

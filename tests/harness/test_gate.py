@@ -137,6 +137,27 @@ def test_load_artifact_rejects_other_schema_versions(tmp_path):
         load_artifact(path)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_artifact_rejects_non_strict_json(tmp_path, constant):
+    path = tmp_path / "BENCH_ablation_x.json"
+    text = json.dumps(artifact()).replace('"p99_ms": 10.0', f'"p99_ms": {constant}')
+    assert constant in text
+    path.write_text(text)
+    with pytest.raises(ValueError, match=constant):
+        load_artifact(path)
+
+
+def test_run_gate_reports_a_nan_artifact(tmp_path):
+    fresh_dir, base_dir = _write_dirs(tmp_path, artifact(), artifact())
+    nan = copy.deepcopy(artifact())
+    nan["runs"][0]["metrics"]["p99_ms"] = float("nan")
+    (fresh_dir / "BENCH_ablation_toy.json").write_text(json.dumps(nan))
+    violations, compared = run_gate(fresh_dir, base_dir)
+    assert compared == []
+    assert [v.kind for v in violations] == ["schema"]
+    assert "NaN" in violations[0].message
+
+
 def _write_dirs(tmp_path, fresh, baseline, name="BENCH_ablation_toy.json"):
     fresh_dir = tmp_path / "fresh"
     base_dir = tmp_path / "base"
