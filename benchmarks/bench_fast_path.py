@@ -30,7 +30,7 @@ import pytest
 from repro.harness import AblationStudy, DEFAULT_CALIBRATION
 from repro.harness.ablation import BASELINE_KEY
 from repro.harness.grids import FAST_PATH_GRID, idle, percentile
-from repro.resolution import FastPathPolicy
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
 from repro.workloads import build_testbed
 
 from conftest import FIJI, run, write_bench_results
@@ -70,7 +70,12 @@ def test_cold_round_trips(benchmark):
         for label, fast_path in CONFIGS:
             testbed = build_testbed(seed=31)
             env = testbed.env
-            hns = testbed.make_hns(testbed.client, fast_path=fast_path)
+            hns = testbed.make_hns(
+                testbed.client,
+                policies=PolicySet(
+                    resolution=DEFAULT_RESOLUTION_POLICY, fast_path=fast_path
+                ),
+            )
             before = server_requests(env)
             binding = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
             table[label] = {
@@ -124,7 +129,12 @@ def test_ttl_expiry_herd(benchmark):
         for label, fast_path in HERD_CONFIGS:
             testbed = build_testbed(seed=32, calibration=CALIBRATION)
             env = testbed.env
-            hns = testbed.make_hns(testbed.client, fast_path=fast_path)
+            hns = testbed.make_hns(
+                testbed.client,
+                policies=PolicySet(
+                    resolution=DEFAULT_RESOLUTION_POLICY, fast_path=fast_path
+                ),
+            )
             run(env, hns.find_nsm(FIJI, "HRPCBinding"))  # warm everything
             idle(env, 6_000)  # past every meta TTL
             before = server_requests(env)

@@ -57,15 +57,8 @@ from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host, Service
 from repro.net.transport import Transport
 from repro.obs.span import NULL_SPAN
-from repro.resolution import (
-    _UNSET,
-    FastPathPolicy,
-    PolicySet,
-    ReplicaPolicy,
-    ResolutionPolicy,
-    merge_policies,
-)
-from repro.serial import HandcodedMarshaller, StubCompiler
+from repro.resolution import PolicySet, retrying
+from repro.serial import HandcodedMarshaller, IdlType, StubCompiler
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -91,30 +84,19 @@ class BindResolver:
         name: str = "resolver",
         secondaries: typing.Sequence[Endpoint] = (),
         negative_ttl_ms: float = 0.0,
-        policy: typing.Any = _UNSET,
-        fast_path: typing.Any = _UNSET,
-        replica_policy: typing.Any = _UNSET,
         policies: typing.Optional[PolicySet] = None,
     ):
         if marshalling not in ("handcoded", "generated"):
             raise ValueError(f"unknown marshalling style {marshalling!r}")
         if negative_ttl_ms < 0:
             raise ValueError("negative-cache TTL must be >= 0")
-        # Resolve the policy bundle once: a PolicySet base (all-None
-        # matches the historical kwarg defaults) with any legacy kwargs
-        # folded over it.  ``None`` uniformly means "that mechanism at
-        # its prototype .disabled() behaviour".
-        resolved = merge_policies(
-            policies if policies is not None else PolicySet(),
-            policy=policy,
-            fast_path=fast_path,
-            replica_policy=replica_policy,
-            caller="BindResolver",
-        )
-        self.policies = resolved
-        policy = resolved.resolution
-        fast_path = resolved.fast_path
-        replica_policy = resolved.replica
+        # ``None`` in any PolicySet slot means "that mechanism at its
+        # prototype .disabled() behaviour"; no bundle means all of them.
+        if policies is None:
+            policies = PolicySet()
+        self.policies = policies
+        policy = policies.resolution
+        replica_policy = policies.replica
         self.host = host
         self.env = host.env
         self.transport = transport
@@ -139,7 +121,7 @@ class BindResolver:
         self.negative_ttl_ms = negative_ttl_ms
         #: performance knobs (coalescing, refresh-ahead, batching);
         #: None keeps the paper-faithful one-call-per-miss behaviour
-        self.fast_path = fast_path
+        self.fast_path = policies.fast_path
         #: replica-aware read knobs (adaptive selection, hedging, IXFR);
         #: None keeps the static primary-then-secondaries failover
         self.replica_policy = replica_policy
@@ -162,16 +144,20 @@ class BindResolver:
         #: in-flight single-flight fetches: cache key -> leader's event,
         #: carrying ``(result, record_count)`` when it resolves
         self._flights: typing.Dict[object, Event] = {}
+        #: hand-coded marshallers are stateless: one per IDL type
+        self._marshallers: typing.Dict[int, HandcodedMarshaller] = {}
         if marshalling == "generated":
-            compiler = StubCompiler()
-            self._request_m = compiler.marshaller(QUERY_REQUEST_IDL)
-            self._response_m = compiler.marshaller(QUERY_RESPONSE_IDL)
+            self._response_m = StubCompiler().marshaller(QUERY_RESPONSE_IDL)
         else:
-            self._request_m = HandcodedMarshaller(QUERY_REQUEST_IDL)
-            self._response_m = HandcodedMarshaller(QUERY_RESPONSE_IDL)
-        self._hand_request = HandcodedMarshaller(QUERY_REQUEST_IDL)
+            self._response_m = self._marshaller(QUERY_RESPONSE_IDL)
         # Batch-response marshaller, built on first batched lookup.
         self._batch_response_m: typing.Optional[object] = None
+
+    def _marshaller(self, idl_type: IdlType) -> HandcodedMarshaller:
+        key = id(idl_type)
+        if key not in self._marshallers:
+            self._marshallers[key] = HandcodedMarshaller(idl_type)
+        return self._marshallers[key]
 
     # ------------------------------------------------------------------
     def lookup(
@@ -238,19 +224,27 @@ class BindResolver:
             span.set(outcome="negative")
             env.stats.counter(f"bind.{self.name}.negative_hits").increment()
             raise NameNotFound(f"{name} {rtype} (negatively cached)")
-        if self.cache.format is CacheFormat.MARSHALLED:
+        records = yield from self._decode_hit(entry)
+        env.stats.counter(f"bind.{self.name}.cache_hits").increment()
+        self._maybe_refresh(key, name, rtype, entry)
+        return records
+
+    def _decode_hit(self, entry: CacheEntry) -> typing.Generator:
+        """Materialise a cached entry's records, charging the hit cost
+        (plus this client's demarshal cost for a marshalled cache)."""
+        cache = self.cache
+        assert cache is not None
+        if cache.format is CacheFormat.MARSHALLED:
             value, demarshal_cost = self._response_m.decode(
                 typing.cast(bytes, entry.payload)
             )
             records = QueryResponse.from_idl(value).records
             yield from self.host.cpu.compute(
-                self.cache.hit_cost(entry, demarshal_cost)
+                cache.hit_cost(entry, demarshal_cost)
             )
         else:
             records = list(typing.cast(list, entry.payload))
-            yield from self.host.cpu.compute(self.cache.hit_cost(entry))
-        env.stats.counter(f"bind.{self.name}.cache_hits").increment()
-        self._maybe_refresh(key, name, rtype, entry)
+            yield from self.host.cpu.compute(cache.hit_cost(entry))
         return records
 
     def cached_records(
@@ -453,7 +447,9 @@ class BindResolver:
         request = QueryRequest(name, rtype)
         # Requests are fixed-shape; both client styles use the cheap path
         # (the paper's generated-marshalling pain was on responses).
-        request_bytes, marshal_cost = self._hand_request.encode(request.to_idl())
+        request_bytes, marshal_cost = self._marshaller(QUERY_REQUEST_IDL).encode(
+            request.to_idl()
+        )
         yield from self._compute(
             max(marshal_cost, self.calibration.request_marshal_ms), background
         )
@@ -473,7 +469,7 @@ class BindResolver:
         if not isinstance(reply, QueryResponse):
             raise BindError(f"unexpected reply {reply!r}")
         # Demarshal the response with this client's style.
-        response_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(
+        response_bytes, _ = self._marshaller(QUERY_RESPONSE_IDL).encode(
             reply.to_idl()
         )
         _, demarshal_cost = self._response_m.decode(response_bytes)
@@ -520,17 +516,7 @@ class BindResolver:
         entry = cache.stale_entry(key, policy.stale_window_ms)
         if entry is None or entry.payload is _NEGATIVE:
             return None
-        if cache.format is CacheFormat.MARSHALLED:
-            value, demarshal_cost = self._response_m.decode(
-                typing.cast(bytes, entry.payload)
-            )
-            records = QueryResponse.from_idl(value).records
-            yield from self.host.cpu.compute(
-                cache.hit_cost(entry, demarshal_cost)
-            )
-        else:
-            records = list(typing.cast(list, entry.payload))
-            yield from self.host.cpu.compute(cache.hit_cost(entry))
+        records = yield from self._decode_hit(entry)
         self.env.stats.counter(f"bind.{self.name}.stale_hits").increment()
         self.env.trace.emit(
             "bind",
@@ -541,108 +527,60 @@ class BindResolver:
     def _request_with_failover(
         self, payload: object, size_bytes: int
     ) -> typing.Generator:
-        """One read request against the replica set.
+        """One read request against the replica set, in retry rounds.
 
-        With a :class:`~repro.resolution.ReplicaPolicy` whose scheduling
-        is enabled, the exchange is replica-aware (adaptive ordering,
-        breaker skip, hedging); otherwise it is the prototype's static
-        primary-then-secondaries failover.  Both honour the
-        :class:`ResolutionPolicy` retry rounds.
+        One *round* tries every replica once: with a
+        :class:`~repro.resolution.ReplicaPolicy` whose scheduling is
+        enabled it is one replica-aware :meth:`_hedged_exchange`
+        (adaptive ordering, breaker skip, hedging), otherwise the
+        prototype's static primary-then-secondaries walk.  With a
+        :class:`~repro.resolution.ResolutionPolicy`, transiently failed
+        rounds repeat up to ``attempts`` times with jittered exponential
+        backoff between rounds.  Raises the last network error if every
+        round fails.
         """
-        if self._scheduler is not None:
-            reply = yield from self._request_adaptive(payload, size_bytes)
-            return reply
-        reply = yield from self._request_ordered(payload, size_bytes)
+        policy = self.policy
+        timeout_ms = policy.call_timeout_ms if policy is not None else None
+        exchange = (
+            self._hedged_exchange
+            if self._scheduler is not None
+            else self._ordered_exchange
+        )
+        reply = yield from retrying(
+            self.env,
+            policy,
+            lambda _i: exchange(payload, size_bytes, timeout_ms),
+            rng_stream=f"bind.backoff:{self.name}",
+            stat=f"bind.{self.name}.retries",
+        )
         return reply
 
-    def _request_ordered(
-        self, payload: object, size_bytes: int
+    def _ordered_exchange(
+        self, payload: object, size_bytes: int, timeout_ms: typing.Optional[float]
     ) -> typing.Generator:
-        """Read-request fan-out: primary, then each secondary, with
-        policy-driven retry rounds.
-
-        One *round* tries every replica once; with a
-        :class:`ResolutionPolicy`, transiently failed rounds repeat up
-        to ``attempts`` times with jittered exponential backoff between
-        rounds.  Raises the last network error if all rounds fail.
-        """
-        policy = self.policy
-        rounds = policy.attempts if policy is not None else 1
-        timeout_ms = policy.call_timeout_ms if policy is not None else None
+        """One round of static failover: the primary, then each
+        secondary in order.  Raises the last replica's network error
+        when every replica fails."""
         last_error: typing.Optional[Exception] = None
-        for round_index in range(rounds):
-            if round_index:
-                self.env.stats.counter(f"bind.{self.name}.retries").increment()
-                assert policy is not None
-                delay = policy.backoff_ms(
-                    round_index - 1,
-                    self.env.rng.stream(f"bind.backoff:{self.name}"),
-                )
-                if delay > 0:
-                    yield self.env.timeout(delay)
-            with self.env.obs.span("bind.round", round=round_index):
-                for endpoint in [self.server] + self.secondaries:
-                    with self.env.obs.span(
-                        "bind.leg", endpoint=str(endpoint)
-                    ) as leg:
-                        try:
-                            reply = yield from self.transport.request(
-                                self.host,
-                                endpoint,
-                                payload,
-                                size_bytes,
-                                timeout_ms=timeout_ms,
-                            )
-                        except NetworkError as err:
-                            leg.set(
-                                outcome="error",
-                                error_type=type(err).__name__,
-                            )
-                            last_error = err
-                            self.env.stats.counter(
-                                f"bind.{self.name}.failovers"
-                            ).increment()
-                            continue
-                        leg.set(outcome="won")
-                        return reply
-                assert last_error is not None
-                if not is_transient(last_error):
-                    raise last_error
-        assert last_error is not None
-        raise last_error
-
-    def _request_adaptive(
-        self, payload: object, size_bytes: int
-    ) -> typing.Generator:
-        """Replica-aware read: same retry-round structure as
-        :meth:`_request_ordered`, but each round is one
-        :meth:`_hedged_exchange` over the scheduler's plan instead of a
-        static walk of the replica list."""
-        policy = self.policy
-        rounds = policy.attempts if policy is not None else 1
-        timeout_ms = policy.call_timeout_ms if policy is not None else None
-        last_error: typing.Optional[Exception] = None
-        for round_index in range(rounds):
-            if round_index:
-                self.env.stats.counter(f"bind.{self.name}.retries").increment()
-                assert policy is not None
-                delay = policy.backoff_ms(
-                    round_index - 1,
-                    self.env.rng.stream(f"bind.backoff:{self.name}"),
-                )
-                if delay > 0:
-                    yield self.env.timeout(delay)
-            with self.env.obs.span("bind.round", round=round_index) as rspan:
+        for endpoint in [self.server] + self.secondaries:
+            with self.env.obs.span("bind.leg", endpoint=str(endpoint)) as leg:
                 try:
-                    reply = yield from self._hedged_exchange(
-                        payload, size_bytes, timeout_ms
+                    reply = yield from self.transport.request(
+                        self.host,
+                        endpoint,
+                        payload,
+                        size_bytes,
+                        timeout_ms=timeout_ms,
                     )
-                    return reply
                 except NetworkError as err:
-                    rspan.set(error_type=type(err).__name__)
+                    leg.set(outcome="error", error_type=type(err).__name__)
                     last_error = err
-                    if not is_transient(err):
-                        raise
+                    self.env.stats.counter(
+                        f"bind.{self.name}.failovers"
+                    ).increment()
+                    continue
+                leg.set(outcome="won")
+                return reply
         assert last_error is not None
         raise last_error
 
@@ -805,7 +743,7 @@ class BindResolver:
         if self.per_call_overhead_ms:
             yield from self.host.cpu.compute(self.per_call_overhead_ms)
         request = BatchQueryRequest(questions)
-        request_bytes, marshal_cost = HandcodedMarshaller(
+        request_bytes, marshal_cost = self._marshaller(
             BATCH_QUERY_REQUEST_IDL
         ).encode(request.to_idl())
         yield from self.host.cpu.compute(
@@ -817,7 +755,7 @@ class BindResolver:
         if not isinstance(reply, BatchQueryResponse):
             raise BindError(f"unexpected reply {reply!r}")
         # Demarshal the whole response with this client's style.
-        response_bytes, _ = HandcodedMarshaller(BATCH_QUERY_RESPONSE_IDL).encode(
+        response_bytes, _ = self._marshaller(BATCH_QUERY_RESPONSE_IDL).encode(
             reply.to_idl()
         )
         if self._batch_response_m is None:
@@ -826,7 +764,7 @@ class BindResolver:
                     BATCH_QUERY_RESPONSE_IDL
                 )
             else:
-                self._batch_response_m = HandcodedMarshaller(
+                self._batch_response_m = self._marshaller(
                     BATCH_QUERY_RESPONSE_IDL
                 )
         _, demarshal_cost = self._batch_response_m.decode(response_bytes)
@@ -845,7 +783,7 @@ class BindResolver:
                 ttl = min(r.ttl for r in answer.records)
                 payload: object
                 if cache.format is CacheFormat.MARSHALLED:
-                    payload, _cost = HandcodedMarshaller(
+                    payload, _cost = self._marshaller(
                         QUERY_RESPONSE_IDL
                     ).encode(answer.to_idl())
                 else:
@@ -886,7 +824,7 @@ class BindResolver:
         """Dynamic update (requires the modified BIND); returns new serial."""
         name = DomainName(name)
         request = UpdateRequest(mode, name, rtype, list(records))
-        request_bytes, marshal_cost = HandcodedMarshaller(request.idl_type).encode(
+        request_bytes, marshal_cost = self._marshaller(request.idl_type).encode(
             request.to_idl()
         )
         yield from self.host.cpu.compute(marshal_cost)
@@ -939,7 +877,7 @@ class BindResolver:
         if not ops:
             raise ValueError("empty update batch")
         request = UpdateBatchRequest(ops)
-        request_bytes, marshal_cost = HandcodedMarshaller(
+        request_bytes, marshal_cost = self._marshaller(
             request.idl_type
         ).encode(request.to_idl())
         yield from self.host.cpu.compute(marshal_cost)
@@ -995,7 +933,7 @@ class BindResolver:
             str(self._notify_endpoint.address),
             self._notify_endpoint.port,
         )
-        request_bytes, marshal_cost = HandcodedMarshaller(
+        request_bytes, marshal_cost = self._marshaller(
             request.idl_type
         ).encode(request.to_idl())
         yield from self.host.cpu.compute(marshal_cost)
@@ -1053,7 +991,7 @@ class BindResolver:
         """AXFR: fetch every record of a zone; returns (serial, records)."""
         origin = DomainName(origin)
         request = XferRequest(origin)
-        request_bytes, marshal_cost = HandcodedMarshaller(request.idl_type).encode(
+        request_bytes, marshal_cost = self._marshaller(request.idl_type).encode(
             request.to_idl()
         )
         yield from self.host.cpu.compute(marshal_cost)
@@ -1077,7 +1015,7 @@ class BindResolver:
         """
         origin = DomainName(origin)
         request = IxfrRequest(origin, serial)
-        request_bytes, marshal_cost = HandcodedMarshaller(request.idl_type).encode(
+        request_bytes, marshal_cost = self._marshaller(request.idl_type).encode(
             request.to_idl()
         )
         yield from self.host.cpu.compute(marshal_cost)
@@ -1145,7 +1083,7 @@ class BindResolver:
         for key, group in groups.items():
             ttl = min(r.ttl for r in group)
             if self.cache.format is CacheFormat.MARSHALLED:
-                payload_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(
+                payload_bytes, _ = self._marshaller(QUERY_RESPONSE_IDL).encode(
                     QueryResponse(STATUS_OK, group).to_idl()
                 )
                 self.cache.insert(key, payload_bytes, len(group), ttl)
@@ -1173,7 +1111,7 @@ class BindResolver:
             group = list(delta.records)
             ttl = min(r.ttl for r in group)
             if self.cache.format is CacheFormat.MARSHALLED:
-                payload_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(
+                payload_bytes, _ = self._marshaller(QUERY_RESPONSE_IDL).encode(
                     QueryResponse(STATUS_OK, group).to_idl()
                 )
                 self.cache.insert(key, payload_bytes, len(group), ttl)

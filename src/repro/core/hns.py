@@ -38,11 +38,9 @@ from repro.hrpc.server import HrpcServer
 from repro.net.addresses import Endpoint, NetworkAddress
 from repro.bind.errors import NameNotFound
 from repro.resolution import (
-    _UNSET,
     CircuitBreakerRegistry,
     PolicySet,
     ResolutionPolicy,
-    merge_policies,
     retrying,
 )
 from repro.sim.events import Event
@@ -74,9 +72,6 @@ class HNS:
         self,
         metastore: MetaStore,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        policy: typing.Any = _UNSET,
-        fast_path: typing.Any = _UNSET,
-        replica_policy: typing.Any = _UNSET,
         policies: typing.Optional[PolicySet] = None,
     ):
         self.metastore = metastore
@@ -85,19 +80,9 @@ class HNS:
         self.calibration = calibration
         # One resolution point for the whole bundle: inherit the
         # metastore's PolicySet so one flag configures the whole stack
-        # (None anywhere = paper-faithful behaviour), then fold any
-        # explicit overrides — a PolicySet or legacy kwargs — over it.
-        # This replaces the old per-field fallback rules, under which
-        # ``policy`` defaulted independently of the metastore while
-        # ``fast_path``/``replica_policy`` inherited from it but could
-        # not be explicitly cleared back to None.
-        resolved = merge_policies(
-            policies if policies is not None else metastore.policies,
-            policy=policy,
-            fast_path=fast_path,
-            replica_policy=replica_policy,
-            caller="HNS",
-        )
+        # (None anywhere = paper-faithful behaviour) unless an explicit
+        # PolicySet overrides it.
+        resolved = policies if policies is not None else metastore.policies
         self.policies = resolved
         #: performance policy (None = paper-faithful behaviour)
         self.fast_path = resolved.fast_path

@@ -52,15 +52,7 @@ from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.transport import Transport
 from repro.bind.messages import STATUS_OK, BatchQuestion
-from repro.resolution import (
-    _UNSET,
-    DEFAULT_RESOLUTION_POLICY,
-    FastPathPolicy,
-    PolicySet,
-    ReplicaPolicy,
-    ResolutionPolicy,
-    merge_policies,
-)
+from repro.resolution import PolicySet
 
 META_ORIGIN = "hns"
 
@@ -215,26 +207,14 @@ class MetaStore:
         cache_format: CacheFormat = CacheFormat.DEMARSHALLED,
         cache: typing.Optional[ResolverCache] = None,
         secondaries: typing.Sequence[Endpoint] = (),
-        policy: typing.Any = _UNSET,
-        fast_path: typing.Any = _UNSET,
-        replica_policy: typing.Any = _UNSET,
-        update_policy: typing.Any = _UNSET,
         policies: typing.Optional[PolicySet] = None,
     ):
         self.host = host
         self.env = host.env
         self.calibration = calibration
-        # One resolution point for the whole bundle: the PolicySet base
-        # (PolicySet.default() matches the historical kwarg defaults)
-        # with any legacy per-policy kwargs folded over it.
-        resolved = merge_policies(
-            policies if policies is not None else PolicySet.default(),
-            policy=policy,
-            fast_path=fast_path,
-            replica_policy=replica_policy,
-            update_policy=update_policy,
-            caller="MetaStore",
-        )
+        # One resolution point for the whole bundle; no bundle means
+        # PolicySet.default() (fault tolerance on, the rest off).
+        resolved = policies if policies is not None else PolicySet.default()
         self.policies = resolved
         #: fault-tolerance policy for every meta lookup (retry/backoff
         #: across replicas, negative caching, serve-stale); None gives

@@ -24,7 +24,7 @@ from repro.net.transport import (
     StreamTransport,
     Transport,
 )
-from repro.resolution import ResolutionPolicy
+from repro.resolution import ResolutionPolicy, retrying
 
 
 def classify_error(exc: BaseException) -> str:
@@ -105,46 +105,27 @@ class HrpcRuntime:
             )
             if timeout_ms is None and policy is not None:
                 timeout_ms = policy.call_timeout_ms
-            attempts = policy.attempts if policy is not None else 1
             self.env.stats.counter(f"hrpc.calls.{binding.suite}").increment()
-            for attempt in range(attempts):
-                if attempt:
-                    self.env.stats.counter("hrpc.retries").increment()
-                    assert policy is not None
-                    delay = policy.backoff_ms(
-                        attempt - 1, self.env.rng.stream("hrpc.backoff")
-                    )
-                    if delay > 0:
-                        yield self.env.timeout(delay)
-                with self.env.obs.span(
-                    "hrpc.attempt", attempt=attempt
-                ) as aspan:
-                    try:
-                        reply = yield from transport.request(
-                            self.host,
-                            binding.endpoint,
-                            request,
-                            arg_size_bytes,
-                            timeout_ms=timeout_ms,
-                        )
-                    except RemoteCallError as err:
-                        # Surface the remote exception as if raised
-                        # locally, which is what an RPC control protocol's
-                        # error path does.  Never retried: the call
-                        # reached the service.
-                        raise err.remote_exception from err
-                    except Exception as err:  # noqa: BLE001 - classified below
-                        if (
-                            attempt == attempts - 1
-                            or classify_error(err) != "transient"
-                        ):
-                            raise
-                        aspan.set(
-                            outcome="retried",
-                            error_type=type(err).__name__,
-                        )
-                        continue
-                if not isinstance(reply, RpcReply):
-                    raise HrpcError(f"malformed reply {reply!r}")
-                return reply.result
-            raise AssertionError("unreachable")  # pragma: no cover
+            try:
+                reply = yield from retrying(
+                    self.env,
+                    policy,
+                    lambda _i: transport.request(
+                        self.host,
+                        binding.endpoint,
+                        request,
+                        arg_size_bytes,
+                        timeout_ms=timeout_ms,
+                    ),
+                    classify=lambda err: classify_error(err) == "transient",
+                    rng_stream="hrpc.backoff",
+                    stat="hrpc.retries",
+                )
+            except RemoteCallError as err:
+                # Surface the remote exception as if raised locally,
+                # which is what an RPC control protocol's error path
+                # does.  Never retried: the call reached the service.
+                raise err.remote_exception from err
+            if not isinstance(reply, RpcReply):
+                raise HrpcError(f"malformed reply {reply!r}")
+            return reply.result

@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import typing
-import warnings
 
 from repro.net.errors import is_transient
 from repro.sim.kernel import Environment
@@ -510,10 +509,6 @@ class PolicySet:
     ``None`` in any slot uniformly means that mechanism's
     ``.disabled()`` prototype behaviour.  The ``discovery`` slot (PR 10)
     configures the ad-hoc beacon tier the same way.
-
-    The legacy per-policy kwargs still work as deprecated aliases (they
-    warn once per call site and fold over the base set via
-    :func:`merge_policies`).
     """
 
     resolution: typing.Optional[ResolutionPolicy] = None
@@ -541,64 +536,6 @@ class PolicySet:
             update=UpdatePolicy.disabled(),
             discovery=DiscoveryPolicy.disabled(),
         )
-
-
-class _Unset:
-    """Sentinel distinguishing 'kwarg not passed' from an explicit None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-#: call sites that already got their deprecation warning
-_WARNED: typing.Set[typing.Tuple[str, str]] = set()
-
-
-def reset_policy_deprecation_warnings() -> None:
-    """Forget which call sites warned already (for tests)."""
-    _WARNED.clear()
-
-
-def merge_policies(
-    base: PolicySet,
-    policy: typing.Any = _UNSET,
-    fast_path: typing.Any = _UNSET,
-    replica_policy: typing.Any = _UNSET,
-    update_policy: typing.Any = _UNSET,
-    caller: str = "",
-) -> PolicySet:
-    """Fold explicitly-passed legacy per-policy kwargs over ``base``.
-
-    Constructors that grew up taking ``policy=`` / ``fast_path=`` /
-    ``replica_policy=`` route those kwargs here: each one that was
-    actually passed (sentinel-checked, so an explicit ``None`` still
-    means "disabled") overrides the matching :class:`PolicySet` slot and
-    triggers a one-time :class:`DeprecationWarning` per call site.
-    """
-    changes: typing.Dict[str, typing.Any] = {}
-    for kwarg, field, value in (
-        ("policy", "resolution", policy),
-        ("fast_path", "fast_path", fast_path),
-        ("replica_policy", "replica", replica_policy),
-        ("update_policy", "update", update_policy),
-    ):
-        if isinstance(value, _Unset):
-            continue
-        mark = (caller, kwarg)
-        if mark not in _WARNED:
-            _WARNED.add(mark)
-            warnings.warn(
-                f"{caller}: the {kwarg!r} kwarg is deprecated; pass "
-                "policies=PolicySet(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        changes[field] = value
-    if not changes:
-        return base
-    return dataclasses.replace(base, **changes)
 
 
 def retrying(

@@ -238,7 +238,10 @@ def test_disabled_update_policy_reproduces_the_prototype_bit_for_bit():
         env = testbed.env
         env.trace.enabled = True
         store = testbed.make_metastore(
-            testbed.client, update_policy=update_policy
+            testbed.client,
+            policies=PolicySet(
+                resolution=DEFAULT_RESOLUTION_POLICY, update=update_policy
+            ),
         )
 
         def drive():

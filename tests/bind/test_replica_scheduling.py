@@ -4,9 +4,9 @@ import pytest
 
 from repro.bind import BindResolver, BindServer, ReplicaScheduler, ResourceRecord, RRType, Zone
 from repro.harness.calibration import DEFAULT_CALIBRATION
-from repro.net import DatagramTransport, Internetwork
+from repro.net import DatagramTransport, Internetwork, NetworkError
 from repro.net.addresses import Endpoint, NetworkAddress
-from repro.resolution import PolicySet, ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy, ResolutionPolicy
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -190,7 +190,13 @@ class StallServer(BindServer):
         yield from super().handle(datagram, responder)
 
 
-def make_cluster(replica_policy, seed=41, primary_cost=4.8, secondary_cost=4.8):
+def make_cluster(
+    replica_policy,
+    seed=41,
+    primary_cost=4.8,
+    secondary_cost=4.8,
+    resolution_policy=None,
+):
     env = Environment(seed=seed)
     net = Internetwork(env)
     seg = net.add_segment(
@@ -219,7 +225,7 @@ def make_cluster(replica_policy, seed=41, primary_cost=4.8, secondary_cost=4.8):
         udp,
         primary_ep,
         secondaries=[secondary_ep],
-        policies=PolicySet(replica=replica_policy),
+        policies=PolicySet(resolution=resolution_policy, replica=replica_policy),
         name="r",
     )
     return env, resolver, primary, secondary, primary_host
@@ -319,6 +325,33 @@ def test_static_failover_pays_the_timeout_every_time():
         records, elapsed = lookup_once(env, resolver)
         assert records[0].text == "ns=one"
         assert elapsed >= 100.0  # the dead primary taxes every lookup
+
+
+#: Simulated ms from the lookup to its failure with both replicas down:
+#: three rounds of two 1 s call timeouts (the policy's; the transport
+#: does not resend) plus two jittered backoffs.  Scheduling changes the
+#: order of the legs, not the cost.
+TIME_TO_FAIL_MS = 6128.811742614444
+
+
+@pytest.mark.parametrize("scheduling", [False, True])
+def test_every_replica_down_fails_after_exactly_the_retry_rounds(scheduling):
+    policy = ResolutionPolicy(attempts=3)
+    env, resolver, _primary, secondary, primary_host = make_cluster(
+        ReplicaPolicy() if scheduling else None, resolution_policy=policy
+    )
+    assert (resolver._scheduler is not None) == scheduling
+    primary_host.crash()
+    secondary.host.crash()
+    start = env.now
+
+    def go():
+        with pytest.raises(NetworkError):
+            yield from resolver.lookup("a.ctx.hns", RRType.UNSPEC)
+        return env.now - start
+
+    assert run(env, go()) == pytest.approx(TIME_TO_FAIL_MS)
+    assert env.stats.counter("bind.r.retries").value == policy.attempts - 1
 
 
 def test_disabled_policy_reproduces_legacy_behaviour_exactly():

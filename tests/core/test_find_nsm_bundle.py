@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import ContextNotFound, NsmNotFound
-from repro.resolution import FastPathPolicy
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
 from repro.workloads.scenarios import BIND_NS
 
 from tests.core.conftest import run
+
+FAST = PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, fast_path=FastPathPolicy())
 
 
 def meta_requests(env):
@@ -15,7 +17,7 @@ def meta_requests(env):
 
 def test_cold_bundle_is_one_round_trip(testbed):
     """Mappings 1-3 cold: one chained batch instead of three lookups."""
-    ms = testbed.make_metastore(testbed.client, fast_path=FastPathPolicy())
+    ms = testbed.make_metastore(testbed.client, policies=FAST)
     env = testbed.env
     before = meta_requests(env)
     ns_name, nsm_name, record = run(
@@ -30,7 +32,7 @@ def test_cold_bundle_is_one_round_trip(testbed):
 def test_bundle_matches_sequential_mappings(testbed):
     """The batch answers exactly what the three sequential calls do."""
     env = testbed.env
-    fast = testbed.make_metastore(testbed.client, fast_path=FastPathPolicy())
+    fast = testbed.make_metastore(testbed.client, policies=FAST)
     slow = testbed.make_metastore(testbed.client)
     bundle = run(env, fast.find_nsm_bundle("BIND-cs", "MailboxLocation"))
     ns_name = run(env, slow.context_to_name_service("BIND-cs"))
@@ -41,7 +43,7 @@ def test_bundle_matches_sequential_mappings(testbed):
 
 def test_warm_bundle_sends_nothing(testbed):
     """A fully cached prefix is resolved locally: zero datagrams."""
-    ms = testbed.make_metastore(testbed.client, fast_path=FastPathPolicy())
+    ms = testbed.make_metastore(testbed.client, policies=FAST)
     env = testbed.env
     first = run(env, ms.find_nsm_bundle("BIND-cs", "HRPCBinding"))
     before = meta_requests(env)
@@ -51,7 +53,7 @@ def test_warm_bundle_sends_nothing(testbed):
 
 
 def test_bundle_unknown_context_raises(testbed):
-    ms = testbed.make_metastore(testbed.client, fast_path=FastPathPolicy())
+    ms = testbed.make_metastore(testbed.client, policies=FAST)
 
     def scenario():
         with pytest.raises(ContextNotFound):
@@ -64,7 +66,7 @@ def test_bundle_unknown_context_raises(testbed):
 def test_bundle_unknown_query_class_raises(testbed):
     """A broken chain (no q mapping) surfaces as the sequential path's
     NsmNotFound, not as a batch-level error."""
-    ms = testbed.make_metastore(testbed.client, fast_path=FastPathPolicy())
+    ms = testbed.make_metastore(testbed.client, policies=FAST)
 
     def scenario():
         with pytest.raises(NsmNotFound):
@@ -76,7 +78,7 @@ def test_bundle_unknown_query_class_raises(testbed):
 
 def test_bundle_missing_nsm_record_raises(testbed):
     """The q mapping resolves but its NSM record is gone: stage-2 error."""
-    ms = testbed.make_metastore(testbed.client, fast_path=FastPathPolicy())
+    ms = testbed.make_metastore(testbed.client, policies=FAST)
     env = testbed.env
     run(env, ms.unregister(f"HRPCBinding-{BIND_NS}.nsm.hns"))
 

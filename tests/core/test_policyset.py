@@ -1,6 +1,4 @@
-"""The unified PolicySet bundle and its deprecated per-policy aliases."""
-
-import warnings
+"""The unified PolicySet bundle."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.resolution import (
     ReplicaPolicy,
     ResolutionPolicy,
     UpdatePolicy,
-    reset_policy_deprecation_warnings,
 )
 
 
@@ -96,46 +93,3 @@ def test_none_uniformly_means_disabled_everywhere(testbed):
     assert hns.policy is None
     assert hns.fast_path is None
     assert hns.replica_policy is None
-
-
-# ----------------------------------------------------------------------
-# Deprecated aliases
-# ----------------------------------------------------------------------
-def test_legacy_kwargs_still_work_and_warn_once(testbed):
-    reset_policy_deprecation_warnings()
-    policy = ResolutionPolicy(attempts=2)
-    with pytest.warns(DeprecationWarning, match="MetaStore.*'policy'"):
-        store = testbed.make_metastore(testbed.client).__class__(
-            testbed.client,
-            testbed.udp,
-            testbed.meta_endpoint,
-            calibration=testbed.calibration,
-            policy=policy,
-        )
-    assert store.policy == policy
-    assert store.policies.resolution == policy
-
-    # The same (caller, kwarg) pair warns only once per process.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        store.__class__(
-            testbed.client,
-            testbed.udp,
-            testbed.meta_endpoint,
-            calibration=testbed.calibration,
-            policy=policy,
-        )
-    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-def test_legacy_kwarg_overrides_the_policyset_slot(testbed):
-    reset_policy_deprecation_warnings()
-    with pytest.warns(DeprecationWarning, match="HNS.*'fast_path'"):
-        hns = HNS(
-            testbed.make_metastore(testbed.client),
-            calibration=testbed.calibration,
-            policies=PolicySet.default(),
-            fast_path=FastPathPolicy(),
-        )
-    assert hns.fast_path == FastPathPolicy()
-    assert hns.policy == DEFAULT_RESOLUTION_POLICY

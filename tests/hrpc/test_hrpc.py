@@ -19,7 +19,14 @@ from repro.hrpc import (
     suite_named,
 )
 from repro.harness.calibration import DEFAULT_CALIBRATION
-from repro.net import DatagramTransport, Internetwork, StreamTransport
+from repro.net import (
+    DatagramTransport,
+    HostDown,
+    Internetwork,
+    NetworkError,
+    StreamTransport,
+)
+from repro.resolution import ResolutionPolicy
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -160,6 +167,67 @@ def test_remote_exception_reraised_locally(world):
         return "done"
 
     assert run(env, scenario()) == "done"
+
+
+def hrpc_tries(env):
+    """The HRPC retry loop's attempt spans, in completion order."""
+    return [
+        s
+        for s in env.obs.spans_named("resolution.attempt")
+        if s.attrs["op"] == "hrpc.backoff"
+    ]
+
+
+def test_policy_retries_a_crashed_server_exactly_attempts_times(world):
+    env, net, client, server_host = world
+    _, endpoint = build_echo_server(env, server_host)
+    runtime = HrpcRuntime(client, net)
+    binding = HRPCBinding(endpoint, "testprog", suite="sunrpc")
+    server_host.crash()
+    env.obs.enable()
+    policy = ResolutionPolicy(attempts=3)
+
+    def scenario():
+        with pytest.raises(NetworkError):
+            yield from runtime.call(binding, "echo", policy=policy)
+        return "done"
+
+    assert run(env, scenario()) == "done"
+    tries = hrpc_tries(env)
+    assert [s.attrs["attempt"] for s in tries] == [0, 1, 2]
+    assert all(s.status == "error" for s in tries)
+    assert env.stats.counter("hrpc.retries").value == policy.attempts - 1
+
+
+def test_remote_transient_error_is_never_retried(world):
+    """A handler raising a transient-looking error reached the service:
+    the caller sees it after one try, whatever the policy allows."""
+    env, net, client, server_host = world
+    server = HrpcServer(server_host)
+    invocations = []
+
+    def flaky(ctx):
+        invocations.append(ctx.host.env.now)
+        raise HostDown("the handler's own downstream host is down")
+        yield  # pragma: no cover
+
+    server.program("testprog").procedure("flaky", flaky)
+    endpoint = server.listen(9000)
+    runtime = HrpcRuntime(client, net)
+    binding = HRPCBinding(endpoint, "testprog", suite="sunrpc")
+    env.obs.enable()
+
+    def scenario():
+        with pytest.raises(HostDown, match="downstream"):
+            yield from runtime.call(
+                binding, "flaky", policy=ResolutionPolicy(attempts=4)
+            )
+        return "done"
+
+    assert run(env, scenario()) == "done"
+    assert len(invocations) == 1
+    assert len(hrpc_tries(env)) == 1
+    assert env.stats.counter("hrpc.retries").value == 0
 
 
 def test_no_such_program_and_procedure(world):

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import TransportTimeout
-from repro.resolution import ResolutionPolicy
+from repro.resolution import PolicySet, ResolutionPolicy
 from repro.workloads import build_stack, build_testbed
 from repro.workloads.scenarios import BIND_CONTEXT, BIND_NS
 
@@ -150,7 +150,8 @@ def test_no_stale_serving_without_policy():
     testbed = build_testbed(seed=14, calibration=calibration)
     env = testbed.env
     metastore = testbed.make_metastore(
-        testbed.client, policy=ResolutionPolicy.disabled()
+        testbed.client,
+        policies=PolicySet(resolution=ResolutionPolicy.disabled()),
     )
     assert run(env, metastore.context_to_name_service(BIND_CONTEXT)) == BIND_NS
     testbed.meta_host.crash()
