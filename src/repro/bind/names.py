@@ -23,7 +23,7 @@ class DomainName:
             return
         if isinstance(text, str):
             stripped = text.strip().rstrip(".")
-            labels = tuple(part for part in stripped.split(".")) if stripped else ()
+            labels = tuple(stripped.split(".")) if stripped else ()
         else:
             labels = tuple(text)
         for label in labels:
@@ -31,11 +31,11 @@ class DomainName:
                 raise ValueError(f"empty label in domain name {text!r}")
             if len(label) > MAX_LABEL:
                 raise ValueError(f"label too long ({len(label)} > {MAX_LABEL}): {label!r}")
-            if any(c in ". \t\n" for c in label):
+            if "." in label or " " in label or "\t" in label or "\n" in label:
                 raise ValueError(f"invalid character in label {label!r}")
-        if sum(len(l) + 1 for l in labels) > MAX_NAME:
+        if sum(map(len, labels)) + len(labels) > MAX_NAME:
             raise ValueError(f"domain name too long: {text!r}")
-        self.labels = tuple(label.lower() for label in labels)
+        self.labels = tuple(map(str.lower, labels))
 
     @property
     def is_root(self) -> bool:

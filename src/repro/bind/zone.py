@@ -126,9 +126,19 @@ class Zone:
         """
         if serial >= self.serial:
             return []
-        if not self._journal or self._journal[0].serial > serial + 1:
+        journal = self._journal
+        if not journal or journal[0].serial > serial + 1:
             return None
-        return [d for d in self._journal if d.serial > serial]
+        # Journal serials ascend: bisect for the first entry past
+        # ``serial`` (by hand, since bisect takes no key= before 3.10).
+        lo, hi = 0, len(journal)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if journal[mid].serial > serial:
+                hi = mid
+            else:
+                lo = mid + 1
+        return journal[lo:]
 
     def apply_delta(self, delta: ZoneDelta) -> None:
         """Apply one journalled update from a primary to this replica.

@@ -27,6 +27,7 @@ the meta server, cached demarshalled with TTL invalidation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.bind import (
@@ -435,8 +436,13 @@ class MetaStore:
         return NameServiceRecord.from_fields(ns_name, records[0].data)
 
     @staticmethod
+    @functools.lru_cache(maxsize=1024)
     def host_label(host_name: str) -> str:
-        """Sanitise a (possibly dotted or colon-ed) host name to a label."""
+        """Sanitise a (possibly dotted or colon-ed) host name to a label.
+
+        Pure and called on every NSM-host address lookup, so each
+        distinct host name (a handful: the NSM hosts) is computed once.
+        """
         return "".join(c if c.isalnum() else "-" for c in host_name.lower())
 
     def nsm_host_address(self, host_name: str) -> typing.Generator:

@@ -79,7 +79,9 @@ class KernelMonitor:
         """``process`` suspended (or finished): its current segment ends."""
 
     def event_triggered(self, event: Event) -> None:
-        """``succeed``/``fail`` was called on ``event``."""
+        """``succeed``/``fail`` was called on ``event``, or it settled in
+        place with no event scheduled (an idle resource grant, or a
+        process exit nobody waits on)."""
 
     def note_resume(self, process: Process, event: Event) -> None:
         """``event`` is about to resume ``process``."""

@@ -71,55 +71,65 @@ class Process(Event):
                 pass
         self._target = None
         punch = Event(self.env)
-        punch._add_callback(self._resume_with_interrupt(cause))
-        punch.succeed(None)
-
-    def _resume_with_interrupt(
-        self, cause: object
-    ) -> typing.Callable[[Event], None]:
-        def callback(_event: Event) -> None:
-            if self.env.monitor is not None:
-                self.env.monitor.note_resume(self, _event)
-            self._step(throw=Interrupt(cause))
-
-        return callback
+        punch.callbacks.append(self._resume)
+        punch.fail(Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
-        if self.env.monitor is not None:
-            self.env.monitor.note_resume(self, event)
-        if event._exception is not None:
-            event.defuse()
-            self._step(throw=event._exception)
-        else:
-            self._step(send=event._value)
+        """Run the generator from ``event`` up to its next pending yield.
 
-    def _step(self, send: object = None, throw: object = None) -> None:
-        monitor = self.env.monitor
-        if monitor is not None:
-            monitor.segment_begin(self)
-        self.env._active_process = self
-        try:
-            if throw is not None:
-                target = self.generator.throw(throw)
-            else:
-                target = self.generator.send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        finally:
-            self.env._active_process = None
+        The value of ``event`` is sent in (its exception thrown in).  A
+        yielded event that is already processed resumes the generator
+        again on the spot, in a new segment.  A generator that returns
+        while nobody waits on the process settles it in place: no
+        completion event is scheduled, since it would have no callbacks
+        to run.  A failure always takes the scheduled path, so an
+        unobserved one still raises from ``run()``.
+        """
+        env = self.env
+        monitor = env.monitor
+        generator = self.generator
+        while True:
             if monitor is not None:
-                monitor.segment_end(self)
-        if not isinstance(target, Event):
-            error = RuntimeError(
-                f"process {self.name!r} yielded {target!r}; "
-                "processes may only yield Event objects"
-            )
-            # Surface inside the generator so user code sees a clear error.
-            self._step(throw=error)
-            return
-        self._target = target
-        target._add_callback(self._resume)
+                monitor.note_resume(self, event)
+                monitor.segment_begin(self)
+            error = event._exception
+            if error is not None:
+                event.defuse()
+            env._active_process = self
+            try:
+                if error is not None:
+                    target = generator.throw(error)
+                else:
+                    target = generator.send(event._value)
+            except StopIteration as stop:
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    self._value = stop.value
+                    self.callbacks = None
+                    if monitor is not None:
+                        monitor.event_triggered(self)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            finally:
+                env._active_process = None
+                if monitor is not None:
+                    monitor.segment_end(self)
+            if not isinstance(target, Event):
+                # Surface inside the generator so user code sees a clear
+                # error: resume it with an (unscheduled) failed event.
+                event = Event(env)
+                event.callbacks = None
+                event._value = None
+                event._exception = RuntimeError(
+                    f"process {self.name!r} yielded {target!r}; "
+                    "processes may only yield Event objects"
+                )
+                continue
+            self._target = target
+            if target.callbacks is not None:
+                target.callbacks.append(self._resume)
+                return
+            event = target

@@ -12,14 +12,19 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
 
 class Request(Event):
-    """Pending claim on a :class:`Resource`; triggers when granted."""
+    """Claim on a :class:`Resource`; triggers when granted.
+
+    A claim on an idle resource is granted on the spot and is already
+    processed when the constructor returns; only a queued claim waits
+    for a grant event.
+    """
 
     __slots__ = ("resource",)
 
@@ -67,8 +72,15 @@ class Resource:
 
     def _admit(self, req: Request) -> None:
         if len(self._users) < self.capacity:
+            # Idle: grant on the spot.  The request is born processed and
+            # no grant event is scheduled, so the requester goes on in
+            # the same step (a grant event would run no other code).
             self._users.add(req)
-            req.succeed(None)
+            req._value = None
+            req.callbacks = None
+            env = self.env
+            if env.monitor is not None:
+                env.monitor.event_triggered(req)
         else:
             self._waiting.append(req)
 
@@ -86,12 +98,13 @@ class Resource:
         if service_ms < 0:
             raise ValueError(f"negative service time: {service_ms}")
         req = self.request()
-        yield req
+        if req.callbacks is not None:
+            yield req  # queued behind another user: wait for the grant
         try:
             if service_ms > 0:
-                yield self.env.timeout(service_ms)
+                yield Timeout(self.env, service_ms)
         finally:
-            req.release()
+            self._release(req)
 
 
 class CPU(Resource):

@@ -8,6 +8,7 @@ digest comparison.
 """
 
 import itertools
+import json
 import pathlib
 import time
 
@@ -20,6 +21,7 @@ from repro.workloads.scenarios import SCENARIOS, iter_scenarios
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 LATENCY_PY = ROOT / "src" / "repro" / "sim" / "latency.py"
+BENCH_KERNEL = ROOT / "BENCH_kernel.json"
 
 
 def test_scenario_registry_is_populated_and_sorted():
@@ -126,3 +128,12 @@ def test_run_d_takes_the_monitored_step_loop():
     assert check.ok
     assert check.digest_monitored == check.digest_a
     assert [m is None for m in monitors] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_digest_matches_the_committed_kernel_bench(name):
+    """Pin each scenario's trajectory to the digest committed in
+    ``BENCH_kernel.json``, not only to a second run of the same code."""
+    committed = json.loads(BENCH_KERNEL.read_text(encoding="utf-8"))
+    pinned = committed["sections"]["scenarios"][name]["digest"]
+    assert run_digest(SCENARIOS[name](0)) == pinned

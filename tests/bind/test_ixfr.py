@@ -77,6 +77,47 @@ def test_delta_since_predating_journal_returns_none():
     assert zone.delta_since(0) is None
 
 
+def _filtered_delta_since(zone, serial):
+    """The reference answer: the linear journal filter."""
+    if serial >= zone.serial:
+        return []
+    journal = zone._journal
+    if not journal or journal[0].serial > serial + 1:
+        return None
+    return [d for d in journal if d.serial > serial]
+
+
+def _assert_delta_since_matches_filter(zone):
+    for serial in range(-1, zone.serial + 3):
+        assert zone.delta_since(serial) == _filtered_delta_since(zone, serial)
+
+
+def test_delta_since_equals_the_journal_filter_for_every_serial():
+    primary = Zone("hns", journal_limit=7)
+    replica = Zone("hns", journal_limit=7)
+    applied = 1
+    for i in range(40):
+        name = f"n{i % 5}.ctx.hns"
+        if i % 3 == 0:
+            primary.add(rec(name, f"ns={i}"))
+        elif i % 3 == 1:
+            primary.replace(name, RRType.UNSPEC, [rec(name, f"ns=r{i}")])
+        else:
+            primary.remove(name, RRType.UNSPEC)
+        _assert_delta_since_matches_filter(primary)
+        if i == 20:
+            # A full install: the replica restarts its journal empty.
+            replica.serial = primary.serial
+            replica.reset_journal()
+            applied = primary.serial
+            _assert_delta_since_matches_filter(replica)
+        for delta in primary.delta_since(applied) or ():
+            replica.apply_delta(delta)
+        applied = replica.serial
+        _assert_delta_since_matches_filter(replica)
+    assert len(primary._journal) == primary.journal_limit
+
+
 def test_apply_delta_tracks_primary():
     primary = Zone("hns")
     replica = Zone("hns")

@@ -57,6 +57,33 @@ def test_invalid_names(bad):
         DomainName(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("a..b", "empty label in domain name"),
+        ("x" * 64 + ".com", "label too long (64 > 63)"),
+        ("a b.c", "invalid character in label 'a b'"),
+        ("a\tb.c", "invalid character in label 'a\\tb'"),
+        ("a\nb.c", "invalid character in label 'a\\nb'"),
+        (("a.b", "c"), "invalid character in label 'a.b'"),
+        (".".join(["x" * 63] * 4), "domain name too long"),
+    ],
+    ids=["empty", "label-over-63", "space", "tab", "newline",
+         "dot-in-sequence-label", "name-over-255"],
+)
+def test_each_rejection_keeps_its_message(bad, message):
+    with pytest.raises(ValueError) as info:
+        DomainName(bad)
+    assert str(info.value).startswith(message)
+
+
+def test_longest_legal_label_and_name_accepted():
+    assert len(DomainName("x" * 63 + ".com").labels[0]) == 63
+    # 3 labels of 63 plus one of 62, each with its dot: exactly 255.
+    labels = ["x" * 63] * 3 + ["y" * 62]
+    assert DomainName(labels).labels == tuple(labels)
+
+
 def test_trailing_dot_tolerated():
     assert DomainName("a.b.") == DomainName("a.b")
 

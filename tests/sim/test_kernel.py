@@ -13,7 +13,9 @@ import pytest
 
 from repro.analysis.determinism import run_digest
 from repro.sim import Environment, SimulationError
+from repro.sim import kernel
 from repro.sim.kernel import KernelMonitor
+from repro.workloads.scenarios import SCENARIOS
 
 
 def test_clock_starts_at_zero():
@@ -405,4 +407,19 @@ def test_kernel_counters_stay_out_of_stats():
     assert (
         env.stats.counter("sim.kernel.events_scheduled").value
         == counters["sim.kernel.events_scheduled"]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_passive_monitor_schedules_the_same_events(name, monkeypatch):
+    """The idle-grant and unobserved-exit shortcuts skip the same events
+    whether or not a monitor is attached, so event ids (and with them
+    perturbed replays) do not depend on the monitor."""
+    plain = SCENARIOS[name](0)
+    monkeypatch.setattr(kernel, "DEFAULT_MONITOR_FACTORY", lambda env: KernelMonitor())
+    monitored = SCENARIOS[name](0)
+    assert monitored.monitor is not None
+    assert (
+        monitored.kernel_counters()["sim.kernel.events_scheduled"]
+        == plain.kernel_counters()["sim.kernel.events_scheduled"]
     )

@@ -142,6 +142,50 @@ def test_exception_inside_process_propagates_to_waiter():
     assert env.run(until=p) == "caught"
 
 
+def test_joining_a_process_that_finished_this_instant_gets_its_value():
+    env = Environment()
+
+    def quick():
+        yield env.timeout(5)
+        return "done"
+
+    finished = env.process(quick())
+
+    def joiner():
+        yield env.timeout(5)  # fires just after quick's, same instant
+        assert finished.processed
+        value = yield finished
+        return env.now, value
+
+    assert env.run(until=env.process(joiner())) == (5.0, "done")
+
+
+def test_unobserved_exit_schedules_no_completion_event():
+    env = Environment()
+
+    def quick():
+        yield env.timeout(1)
+        return 42
+
+    p = env.process(quick())
+    env.run()
+    assert p.processed and p.value == 42
+    # Start and timeout only: nobody waited, so no completion event.
+    assert env.kernel_counters()["sim.kernel.events_scheduled"] == 2
+
+
+def test_unobserved_failure_in_the_first_step_still_raises():
+    env = Environment()
+
+    def bad():
+        raise LookupError("nobody listens")
+        yield  # pragma: no cover - makes bad() a generator
+
+    env.process(bad())
+    with pytest.raises(LookupError, match="nobody listens"):
+        env.run()
+
+
 def test_many_concurrent_processes():
     env = Environment()
     done = []

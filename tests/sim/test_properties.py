@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment
+from repro.sim import CPU, Environment
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e4), min_size=1, max_size=40))
@@ -71,3 +71,41 @@ def test_environment_seed_reproducibility(seed):
         return [env.rng.stream("s").random() for _ in range(3)]
 
     assert draws(Environment(seed)) == draws(Environment(seed))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0, max_value=100),
+            st.one_of(st.just(0.0), st.floats(min_value=0, max_value=50)),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_single_cpu_charges_match_a_fifo_single_server(jobs):
+    """Each job arrives, charges its cost on one CPU and records when it
+    finished: that is the analytic FIFO single-server schedule, with
+    ties served in arrival order."""
+    env = Environment()
+    cpu = CPU(env)
+    finished = {}
+
+    def job(i, arrive, cost):
+        yield env.timeout(arrive)
+        yield from cpu.compute(cost)
+        finished[i] = env.now
+
+    for i, (arrive, cost) in enumerate(jobs):
+        env.process(job(i, arrive, cost))
+    env.run()
+
+    expected = {}
+    free_at = 0.0
+    for i in sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i)):
+        arrive, cost = jobs[i]
+        free_at = max(arrive, free_at) + cost
+        expected[i] = free_at
+    assert finished == expected
+    assert cpu.in_use == 0 and cpu.queue_length == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CPU, Disk, Environment, Resource
+from repro.sim import CPU, Disk, Environment, Interrupt, Resource
 
 
 def test_resource_capacity_validation():
@@ -56,6 +56,91 @@ def test_fifo_ordering_of_waiters():
     env.process(user("third", 2))
     env.run()
     assert order == ["first", "second", "third"]
+
+
+def _scheduled(env):
+    return env.kernel_counters()["sim.kernel.events_scheduled"]
+
+
+def test_idle_grant_schedules_no_event():
+    env = Environment()
+    cpu = CPU(env)
+    granted = cpu.request()
+    assert granted.processed and granted.ok
+    assert _scheduled(env) == 0
+    queued = cpu.request()
+    assert not queued.triggered
+    granted.release()
+    # Handing the CPU to a waiter is a real grant event.
+    assert queued.triggered and not queued.processed
+    assert _scheduled(env) == 1
+
+
+def test_idle_charge_pays_only_its_timeout():
+    env = Environment()
+    cpu = CPU(env)
+
+    def charges():
+        yield from cpu.compute(5)
+        yield from cpu.compute(0)
+        yield from cpu.compute(2)
+
+    env.process(charges())
+    env.run()
+    # The start event and two service timeouts: no grant events, and no
+    # completion event for a process nobody waits on.
+    assert _scheduled(env) == 3
+    assert env.now == 7.0
+    assert cpu.in_use == 0
+
+
+def test_contended_grants_stay_fifo():
+    env = Environment()
+    cpu = CPU(env)
+    finish = []
+
+    def user(tag, arrive, cost):
+        yield env.timeout(arrive)
+        yield from cpu.compute(cost)
+        finish.append((tag, env.now))
+
+    for tag, arrive, cost in [
+        ("a", 0, 3), ("b", 0, 0), ("c", 1, 2), ("d", 5, 0), ("e", 5, 1),
+    ]:
+        env.process(user(tag, arrive, cost))
+    env.run()
+    assert finish == [
+        ("a", 3.0), ("b", 3.0), ("c", 5.0), ("d", 5.0), ("e", 6.0),
+    ]
+
+
+def test_interrupt_during_an_idle_granted_hold_releases_at_interrupt_time():
+    env = Environment()
+    cpu = CPU(env)
+    log = []
+
+    def holder():
+        try:
+            yield from cpu.compute(10)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+
+    def next_user():
+        yield env.timeout(1)
+        yield from cpu.compute(2)
+        log.append(("next", env.now))
+
+    victim = env.process(holder())
+    env.process(next_user())
+
+    def crash():
+        yield env.timeout(4)
+        victim.interrupt("crash")
+
+    env.process(crash())
+    env.run()
+    assert log == [("interrupted", 4.0), ("next", 6.0)]
+    assert cpu.in_use == 0
 
 
 def test_release_without_hold_rejected():
